@@ -2,13 +2,21 @@
 //! prove what can be proved before simulating — conservation from P-semiflow
 //! coverage, steady-cycle existence from T-semiflows, deadlock and dead
 //! transitions from bounded reachability, and the structural class.
+//!
+//! None of these proofs reads a firing delay, so [`check_net`] memoizes them
+//! per untimed net structure ([`StructureKey`]): a fleet whose scenarios
+//! differ only in rates proves its EDSPN once and re-stamps the findings
+//! with each scenario's location.
+
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use wsnem_core::build_cpu_edspn_with_service;
 use wsnem_petri::analysis::{
     dead_transitions, explain_dead_marking, explore, is_free_choice, is_marked_graph,
     is_state_machine, p_semiflows, structurally_dead_transitions, t_semiflows, ReachOptions,
 };
-use wsnem_petri::{PetriError, PetriNet};
+use wsnem_petri::{PetriError, PetriNet, StructureKey};
 use wsnem_scenario::Scenario;
 use wsnem_stats::Dist;
 
@@ -28,33 +36,96 @@ pub const CHECK_REACH_OPTIONS: ReachOptions = ReachOptions {
 /// service distribution, T and D exactly as the Petri backend would, then
 /// run the net passes on it.
 pub fn run(s: &Scenario) -> Vec<Diagnostic> {
+    match scenario_net(s) {
+        Some(net) => check_net(&net, Location::scenario(&s.name)),
+        // An unbuildable net means some parameter is out of range; the
+        // scenario passes' catch-all already reports that with field-level
+        // context, so stay quiet rather than duplicate it.
+        None => Vec::new(),
+    }
+}
+
+/// The scenario's per-node EDSPN, as the Petri backend builds it.
+fn scenario_net(s: &Scenario) -> Option<PetriNet> {
     let service: Dist = s
         .service
         .as_ref()
         .map(|sv| sv.to_dist(s.cpu.mu))
         .unwrap_or(Dist::Exponential { rate: s.cpu.mu });
-    let loc = Location::scenario(&s.name);
-    match build_cpu_edspn_with_service(
+    build_cpu_edspn_with_service(
         s.cpu.lambda,
         service,
         s.cpu.power_down_threshold,
         s.cpu.power_up_delay,
-    ) {
-        Ok((net, _)) => check_net(&net, loc),
-        // An unbuildable net means some parameter is out of range; the
-        // scenario passes' catch-all already reports that with field-level
-        // context, so stay quiet rather than duplicate it.
-        Err(_) => Vec::new(),
-    }
+    )
+    .ok()
+    .map(|(net, _)| net)
+}
+
+/// Distinct net structures [`check_net`] remembers, oldest evicted first. A
+/// fleet of one builtin's variants shares a single structure.
+const MEMO_CAPACITY: usize = 32;
+
+/// Process-wide memo of proven structures, each with its findings at
+/// [`Location::default`].
+type Memo = VecDeque<(StructureKey, Arc<[Diagnostic]>)>;
+static MEMO: Mutex<Memo> = Mutex::new(VecDeque::new());
+
+fn memo() -> MutexGuard<'static, Memo> {
+    // Proofs run outside the lock and each update is a single push or pop,
+    // so a panic elsewhere never leaves the memo half-written.
+    MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn memo_lookup(key: &StructureKey) -> Option<Arc<[Diagnostic]>> {
+    memo()
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, d)| Arc::clone(d))
 }
 
 /// Run every net pass on an already-built net. `loc` seeds the location of
 /// each finding (file or scenario); place/transition names go in `field`.
+/// The proofs are memoized per [`StructureKey`]; a hit costs one key build
+/// and a copy of the findings.
 pub fn check_net(net: &PetriNet, loc: Location) -> Vec<Diagnostic> {
+    let key = net.structure_key();
+    let proven = match memo_lookup(&key) {
+        Some(proven) => proven,
+        None => {
+            let proven: Arc<[Diagnostic]> = prove(net, &Location::default()).into();
+            let mut memo = memo();
+            if !memo.iter().any(|(k, _)| *k == key) {
+                if memo.len() == MEMO_CAPACITY {
+                    memo.pop_front();
+                }
+                memo.push_back((key, Arc::clone(&proven)));
+            }
+            proven
+        }
+    };
+    // The passes set `field` themselves (a place or transition name) or
+    // leave the caller's, so this reproduces an unmemoized run at `loc`.
+    proven
+        .iter()
+        .map(|d| {
+            let mut d = d.clone();
+            let field = d.location.field.take();
+            d.location = loc.clone();
+            if field.is_some() {
+                d.location.field = field;
+            }
+            d
+        })
+        .collect()
+}
+
+/// The net passes proper, unmemoized.
+fn prove(net: &PetriNet, loc: &Location) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    semiflow_pass(net, &loc, &mut out);
-    structural_pass(net, &loc, &mut out);
-    dead_and_deadlock_pass(net, &loc, &mut out);
+    semiflow_pass(net, loc, &mut out);
+    structural_pass(net, loc, &mut out);
+    dead_and_deadlock_pass(net, loc, &mut out);
     out
 }
 
@@ -260,7 +331,97 @@ mod tests {
     use super::*;
     use crate::diag::Severity;
     use wsnem_petri::NetBuilder;
-    use wsnem_scenario::builtin;
+    use wsnem_scenario::{builtin, gen, FieldSpec, GenField, GenMethod, GenSpec};
+
+    #[test]
+    fn memo_matches_unmemoized_passes_on_builtins_and_lhs_fleets() {
+        let field = |field, min, max| FieldSpec {
+            field,
+            min,
+            max,
+            points: None,
+        };
+        // One thread per builtin: the unmemoized reference proofs dominate.
+        std::thread::scope(|scope| {
+            for base in builtin::all() {
+                scope.spawn(move || {
+                    let spec = GenSpec {
+                        method: GenMethod::LatinHypercube,
+                        count: 256,
+                        seed: 11,
+                        prefix: base.name.clone(),
+                        fields: vec![
+                            field(GenField::Lambda, 0.05, 0.6),
+                            field(GenField::ServiceMean, 0.01, 0.1),
+                        ],
+                    };
+                    let fleet = gen::generate(&base, &spec).expect("lhs fleet");
+                    assert_eq!(fleet.len(), 256);
+                    for s in std::iter::once(&base).chain(&fleet) {
+                        let net = scenario_net(s).expect("builtin-derived nets build");
+                        let loc = Location::scenario(&s.name).with_file(format!("{}.toml", s.name));
+                        assert_eq!(
+                            check_net(&net, loc.clone()),
+                            prove(&net, &loc),
+                            "{}",
+                            s.name
+                        );
+                    }
+                });
+            }
+        });
+    }
+
+    /// A small net exercising every key component, optionally mutated in one.
+    fn keyed_net(mutation: &str) -> PetriNet {
+        let mut b = NetBuilder::new();
+        let idle = b.place(
+            if mutation == "name" {
+                "KeyIdleRenamed"
+            } else {
+                "KeyIdle"
+            },
+            if mutation == "marking" { 2 } else { 1 },
+        );
+        let busy = b.place("KeyBusy", 0);
+        let rate = if mutation == "rate" { 7.5 } else { 2.0 };
+        let start = b.exponential("key_start", rate);
+        let finish = b.immediate(
+            "key_finish",
+            if mutation == "priority" { 3 } else { 1 },
+            1.0,
+        );
+        b.input_arc(idle, start, 1);
+        b.output_arc(start, busy, if mutation == "weight" { 2 } else { 1 });
+        b.input_arc(busy, finish, 1);
+        b.output_arc(finish, idle, 1);
+        if mutation == "inhibitor" {
+            b.inhibitor_arc(busy, start, 1);
+        }
+        b.build().expect("valid net")
+    }
+
+    #[test]
+    fn memo_keys_on_untimed_structure_only() {
+        let base = keyed_net("");
+        let loc = Location::scenario("keyed");
+        assert_eq!(check_net(&base, loc.clone()), prove(&base, &loc));
+        // A rate is not structure: the variant shares the proven entry.
+        assert_eq!(keyed_net("rate").structure_key(), base.structure_key());
+        // Every structural mutation misses the memo, and its own proof
+        // then matches the unmemoized passes.
+        for mutation in ["name", "weight", "inhibitor", "priority", "marking"] {
+            let net = keyed_net(mutation);
+            let key = net.structure_key();
+            assert_ne!(key, base.structure_key(), "{mutation}");
+            assert!(memo_lookup(&key).is_none(), "{mutation} hit the memo");
+            assert_eq!(
+                check_net(&net, loc.clone()),
+                prove(&net, &loc),
+                "{mutation}"
+            );
+        }
+    }
 
     #[test]
     fn every_builtin_edspn_is_clean() {

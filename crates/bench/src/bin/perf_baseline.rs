@@ -1,5 +1,5 @@
 //! Tracked performance baseline: times the key engine benches and writes a
-//! machine-readable JSON snapshot (`BENCH_9.json` by default) so future PRs
+//! machine-readable JSON snapshot (`BENCH_12.json` by default) so future PRs
 //! have a perf trajectory to compare against.
 //!
 //! ```text
@@ -7,14 +7,16 @@
 //! cargo run --release -p wsnem-bench --bin perf_baseline -- --quick # CI
 //! cargo run --release -p wsnem-bench --bin perf_baseline -- -o out.json
 //! cargo run --release -p wsnem-bench --bin perf_baseline -- \
-//!     --quick --check BENCH_9.json --tolerance 25   # regression gate
+//!     --quick --check BENCH_12.json --tolerance 25  # regression gate
 //! ```
 //!
 //! Numbers are per-iteration nanoseconds (min and mean over a wall-clock
 //! budget, min being the noise-robust figure). The bench set mirrors
 //! `benches/engine.rs`: the paper's CPU EDSPN, the vanishing-resolution
 //! pipeline (simulation and GSPN→CTMC elimination), the M/M/1/K token game
-//! and the many-timed relay rings that exercise the event-driven engine.
+//! and the many-timed relay rings that exercise the event-driven engine,
+//! plus the per-scenario analytic costs of a fleet run: one M/G/1 and one
+//! Erlang-phase node solve, and one (memoized) `wsnem check` net proof.
 //!
 //! `--check <baseline.json>` turns the run into a regression gate: every
 //! bench present in both runs must keep its min time within `--tolerance`
@@ -25,6 +27,7 @@
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
 use std::time::{Duration, Instant};
 
+use wsnem_analysis::net_passes;
 use wsnem_bench::nets::{relay_ring_net, vanishing_pipeline_net};
 use wsnem_bench::{quick_mode, render_table};
 use wsnem_core::backend::{global, EvalOptions};
@@ -32,6 +35,7 @@ use wsnem_core::{build_cpu_edspn, BackendId, CpuModelParams};
 use wsnem_petri::analysis::{tangible_chain, ReachOptions};
 use wsnem_petri::models::mm1k_net;
 use wsnem_petri::{simulate, SimConfig};
+use wsnem_scenario::builtin;
 use wsnem_stats::rng::Xoshiro256PlusPlus;
 
 struct Measurement {
@@ -166,7 +170,7 @@ fn main() {
     };
     let out_path = arg_value("-o")
         .or_else(|| arg_value("--output"))
-        .unwrap_or_else(|| "BENCH_9.json".to_owned());
+        .unwrap_or_else(|| "BENCH_12.json".to_owned());
     let check_path = arg_value("--check");
     let tolerance_pct: f64 = match arg_value("--tolerance") {
         None => 25.0,
@@ -218,6 +222,24 @@ fn main() {
         global()
             .solve(BackendId::Mg1, std::hint::black_box(&mg1_params), &mg1_opts)
             .expect("mg1 solves")
+    }));
+    // One Erlang-phase node solve at the chain-3hop base point (k = m = 16,
+    // 374 states) — the dominant solver cost of a cold chain-3hop fleet.
+    let chain = builtin::chain_3hop();
+    results.push(measure("erlang_phase_node", budget, || {
+        global()
+            .solve(
+                BackendId::ErlangPhase,
+                std::hint::black_box(&chain.cpu),
+                &mg1_opts,
+            )
+            .expect("erlang-phase solves")
+    }));
+    // One `wsnem check` net-pass run on the chain-3hop EDSPN after the
+    // first (untimed warm-up) call has proven its structure: EDSPN build,
+    // structure key, memo hit and re-stamped findings.
+    results.push(measure("check_net_edspn", budget, || {
+        net_passes::run(std::hint::black_box(&chain))
     }));
 
     let rows: Vec<Vec<String>> = results

@@ -181,6 +181,25 @@ fn validate_exits_non_zero_with_coded_diagnostics() {
 }
 
 #[test]
+fn validate_reports_hostile_nesting_as_a_parse_error() {
+    // 50k unclosed brackets used to overflow the parser's stack and abort.
+    let dir = temp_dir("deep");
+    let json = dir.join("deep.json");
+    let toml = dir.join("deep.toml");
+    std::fs::write(&json, "[".repeat(50_000)).unwrap();
+    std::fs::write(&toml, format!("x = {}", "[".repeat(50_000))).unwrap();
+    let out = wsnem(&["validate", json.to_str().unwrap(), toml.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(text.matches("error[E001]").count(), 2, "{text}");
+    assert_eq!(
+        text.matches("nesting deeper than 128 levels").count(),
+        2,
+        "{text}"
+    );
+}
+
+#[test]
 fn gen_check_verifies_fleet_against_manifest() {
     let dir = temp_dir("gen");
     let dir_s = dir.to_str().unwrap();

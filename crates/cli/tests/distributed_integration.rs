@@ -59,8 +59,8 @@ fn serve_with_two_workers_survives_a_mid_run_kill_and_matches_a_local_run() {
     gen_fleet(&dir, 6); // 12 scenarios: enough shards to spread and reassign
     let addr = free_addr();
 
-    // Coordinator in a child process; workers race it to the socket and
-    // reconnect with backoff, so spawn order does not matter.
+    // Coordinator in a child process; workers reconnect with backoff until
+    // it listens.
     let serve = Command::new(env!("CARGO_BIN_EXE_wsnem"))
         .args([
             "serve",
@@ -93,6 +93,12 @@ fn serve_with_two_workers_survives_a_mid_run_kill_and_matches_a_local_run() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn faulty worker");
+    // The faulty worker runs alone until its kill fires while it holds its
+    // third shard's lease; only then does the steady worker join. Spawned
+    // together, a steady worker that connected first could drain all twelve
+    // shards before the faulty one's reconnect backoff ended (seen after
+    // bursts of CPU load), and the run would never exercise the kill.
+    let _ = faulty.wait_with_output();
     let steady = Command::new(env!("CARGO_BIN_EXE_wsnem"))
         .args(["worker", &addr, "--name", "steady"])
         .stdout(Stdio::piped())
@@ -103,7 +109,6 @@ fn serve_with_two_workers_survives_a_mid_run_kill_and_matches_a_local_run() {
     let serve_out = serve.wait_with_output().expect("serve exits");
     let serve_err = String::from_utf8_lossy(&serve_out.stderr).into_owned();
     assert!(serve_out.status.success(), "serve stderr: {serve_err}");
-    let _ = faulty.wait_with_output();
     let steady_out = steady.wait_with_output().expect("steady worker exits");
     assert!(
         steady_out.status.success(),

@@ -6,8 +6,15 @@
 //! into a first-class [`CpuModel`]: both constant delays are expanded into
 //! Erlang-`k` stages and the resulting CTMC is solved exactly. Unlike the
 //! supplementary-variable model it stays accurate for large `D`; unlike the
-//! simulations it is deterministic and fast (milliseconds, no Monte-Carlo
+//! simulations it is deterministic and fast (microseconds, no Monte-Carlo
 //! noise).
+//!
+//! The solve never builds the generator: the chain's balance equations are
+//! swept level by level ([`PhaseCpuChain::stationary`]) — idle timer phases
+//! first, then the power-up phases forward in phase and queue length, then
+//! the active levels by flow balance across each cut — in O(k·Q + m) steps
+//! with no subtraction. One stationary vector yields both the occupancy
+//! fractions and the mean number of jobs.
 
 use std::time::Instant;
 
@@ -73,12 +80,11 @@ impl CpuModel for PhaseCpuModel {
 
     fn evaluate(&self) -> Result<ModelEvaluation, CoreError> {
         let start = Instant::now();
-        let chain = self.chain()?;
-        let fractions = chain.fractions()?;
-        let mean_jobs = chain.mean_jobs()?;
+        let stationary = self.chain()?.stationary()?;
+        let mean_jobs = stationary.mean_jobs();
         Ok(ModelEvaluation {
             kind: BackendId::ErlangPhase,
-            fractions,
+            fractions: stationary.fractions(),
             mean_jobs: Some(mean_jobs),
             mean_latency: Some(mean_jobs / self.params.lambda),
             eval_seconds: start.elapsed().as_secs_f64(),

@@ -460,3 +460,36 @@ fn raw_client_duplicates_version_skew_and_unknown_digests_are_contained() {
         assert!(r.is_ok());
     }
 }
+
+#[test]
+fn deeply_nested_frame_is_rejected_and_the_coordinator_survives() {
+    let scenarios = quick_fleet(2);
+    let caches: Vec<Option<&ResultCache>> = vec![None, None];
+    let coord = Coordinator::bind(&scenarios, &caches, CacheMode::Disabled, sopts()).unwrap();
+    let addr = coord.local_addr().unwrap();
+
+    let (outcome, summary) = std::thread::scope(|scope| {
+        let run = scope.spawn(|| coord.run(None).unwrap());
+
+        // One well-formed frame whose payload is 200 KB of `[`: the JSON
+        // depth cap turns it into a corrupt frame instead of a stack
+        // overflow that would abort the whole coordinator.
+        let mut s = TcpStream::connect(addr).unwrap();
+        let payload = vec![b'['; 200_000];
+        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        std::io::Write::write_all(&mut s, &frame).unwrap();
+        assert!(matches!(
+            read_message(&mut s),
+            Err(FrameError::Closed) | Err(FrameError::Io(_))
+        ));
+
+        // The coordinator is still serving: a real worker completes the fleet.
+        let summary = run_worker(&addr.to_string(), wopts("after-attack")).unwrap();
+        (run.join().unwrap(), summary)
+    });
+
+    assert_eq!(outcome.dist.rejected_frames, 1);
+    assert_eq!(summary.shards_done, 2);
+    assert!(outcome.results.iter().all(|r| r.is_ok()));
+}

@@ -31,5 +31,5 @@ pub mod supplementary;
 pub use birthdeath::{mm1, mm1k, BirthDeath};
 pub use ctmc::{Ctmc, CtmcBuilder, SteadyStateMethod};
 pub use error::MarkovError;
-pub use phase::PhaseCpuChain;
+pub use phase::{PhaseCpuChain, PhaseStationary};
 pub use supplementary::SupplementaryVariableModel;

@@ -17,7 +17,7 @@
 
 use wsnem_energy::StateFractions;
 
-use crate::ctmc::{Ctmc, CtmcBuilder, SteadyStateMethod};
+use crate::ctmc::{Ctmc, CtmcBuilder};
 use crate::error::MarkovError;
 
 /// Builder/descriptor for the phase-expanded CPU chain.
@@ -190,12 +190,98 @@ impl PhaseCpuChain {
         b.build()
     }
 
-    /// Solve for the stationary distribution and fold it into the four-state
-    /// occupancy fractions (renormalized to absorb iterative-solver drift).
+    /// The stationary distribution, solved level by level in O(k·Q + m)
+    /// without building the generator.
+    ///
+    /// Every state's probability follows from the balance equations in one
+    /// forward sweep, anchored at the first idle phase `I(0)`:
+    ///
+    /// * idle phases: `I(i) = rⁱ·I(0)` with `r = ν_dn/(λ + ν_dn)`, and
+    ///   standby `S = I(m−1)·ν_dn/λ`;
+    /// * power-up phases, forward in `j` then `q`:
+    ///   `P(j,q) = [P(j,q−1)·λ + P(j−1,q)·ν_up + [j=0,q=1]·S·λ] / (λ·[q<Q] + ν_up)`;
+    /// * active levels: `A(1) = I(0)·(λ + ν_dn)/μ`, then the flow balance
+    ///   across the cut between levels `q` and `q+1`,
+    ///   `A(q+1) = [A(q)·λ + Σ_{q'>q} P(k−1,q')·ν_up] / μ`.
+    ///
+    /// Every term is non-negative, so nothing cancels. The standby/power-up
+    /// block and the idle/active block are swept at separate scales (`S = 1`
+    /// and `I(0) = 1`) and joined by the ratio `S/I(0)`, taken in log space,
+    /// so `rᵐ⁻¹` cannot underflow the larger block; the smaller one
+    /// underflows only where its true probability is below `f64`'s range.
+    /// [`PhaseCpuChain::build`] plus a dense solve is the test oracle.
+    pub fn stationary(&self) -> Result<PhaseStationary, MarkovError> {
+        if self.k_up == 0 || self.m_down == 0 || self.max_jobs == 0 {
+            return Err(MarkovError::InvalidParameter {
+                what: "phases / max_jobs",
+                constraint: ">= 1",
+                value: 0.0,
+            });
+        }
+        let lam = self.lambda;
+        let mu = self.mu;
+        let nu_up = self.k_up as f64 / self.d_delay;
+        let nu_dn = self.m_down as f64 / self.t_threshold;
+        let q_max = self.max_jobs;
+
+        // ln(S / I(0)) = (m−1)·ln r + ln(ν_dn/λ), with ln r = −ln(1 + λ/ν_dn).
+        let log_ratio = -f64::from(self.m_down - 1) * (lam / nu_dn).ln_1p() + (nu_dn / lam).ln();
+        let (warm, cold) = if log_ratio <= 0.0 {
+            (1.0, log_ratio.exp())
+        } else {
+            ((-log_ratio).exp(), 1.0)
+        };
+
+        let mut pi = vec![0.0; self.n_states()];
+        pi[self.idx_standby()] = cold;
+        let r = nu_dn / (lam + nu_dn);
+        let mut idle = warm;
+        for i in 0..self.m_down {
+            pi[self.idx_idle(i)] = idle;
+            idle *= r;
+        }
+        for j in 0..self.k_up {
+            for q in 1..=q_max {
+                let mut inflow = if q > 1 {
+                    pi[self.idx_powerup(j, q - 1)] * lam
+                } else if j == 0 {
+                    cold * lam
+                } else {
+                    0.0
+                };
+                if j > 0 {
+                    inflow += pi[self.idx_powerup(j - 1, q)] * nu_up;
+                }
+                let outflow = if q < q_max { lam + nu_up } else { nu_up };
+                pi[self.idx_powerup(j, q)] = inflow / outflow;
+            }
+        }
+        // Park Σ_{q'>q} P(k−1,q') in A(q)'s slot (summed from the top, so
+        // no subtraction), then overwrite it with A(q) on the way up.
+        let mut tail = 0.0;
+        for q in (1..=q_max).rev() {
+            pi[self.idx_active(q)] = tail;
+            tail += pi[self.idx_powerup(self.k_up - 1, q)];
+        }
+        let mut active = warm * (lam + nu_dn) / mu;
+        for q in 1..=q_max {
+            let slot = self.idx_active(q);
+            let tail = pi[slot];
+            pi[slot] = active;
+            active = (active * lam + tail * nu_up) / mu;
+        }
+
+        let total: f64 = pi.iter().sum();
+        for p in &mut pi {
+            *p /= total;
+        }
+        Ok(PhaseStationary { chain: *self, pi })
+    }
+
+    /// Stationary four-state occupancy fractions (a view over
+    /// [`PhaseCpuChain::stationary`]).
     pub fn fractions(&self) -> Result<StateFractions, MarkovError> {
-        let ctmc = self.build()?;
-        let pi = ctmc.steady_state(SteadyStateMethod::Auto)?;
-        Ok(self.fold(&pi))
+        Ok(self.stationary()?.fractions())
     }
 
     /// Occupancy fractions at time `t`, starting cold (Standby, empty) —
@@ -236,20 +322,45 @@ impl PhaseCpuChain {
         )
     }
 
-    /// Mean number of jobs in the system under the stationary distribution.
+    /// Mean number of jobs in the system under the stationary distribution
+    /// (a view over [`PhaseCpuChain::stationary`]).
     pub fn mean_jobs(&self) -> Result<f64, MarkovError> {
-        let ctmc = self.build()?;
-        let pi = ctmc.steady_state(SteadyStateMethod::Auto)?;
+        Ok(self.stationary()?.mean_jobs())
+    }
+}
+
+/// The stationary distribution of a [`PhaseCpuChain`], indexed like the
+/// states of [`PhaseCpuChain::build`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseStationary {
+    chain: PhaseCpuChain,
+    pi: Vec<f64>,
+}
+
+impl PhaseStationary {
+    /// Per-state probabilities (sum to 1).
+    pub fn probabilities(&self) -> &[f64] {
+        &self.pi
+    }
+
+    /// Folded into the four-state occupancy fractions.
+    pub fn fractions(&self) -> StateFractions {
+        self.chain.fold(&self.pi)
+    }
+
+    /// Mean number of jobs in the system.
+    pub fn mean_jobs(&self) -> f64 {
+        let c = &self.chain;
         let mut l = 0.0;
-        for j in 0..self.k_up {
-            for q in 1..=self.max_jobs {
-                l += q as f64 * pi[self.idx_powerup(j, q)];
+        for j in 0..c.k_up {
+            for q in 1..=c.max_jobs {
+                l += q as f64 * self.pi[c.idx_powerup(j, q)];
             }
         }
-        for q in 1..=self.max_jobs {
-            l += q as f64 * pi[self.idx_active(q)];
+        for q in 1..=c.max_jobs {
+            l += q as f64 * self.pi[c.idx_active(q)];
         }
-        Ok(l)
+        l
     }
 }
 

@@ -40,7 +40,9 @@ pub mod sim;
 pub use dot::to_dot;
 pub use error::PetriError;
 pub use marking::Marking;
-pub use net::{NetBuilder, NetSpec, PetriNet, PlaceId, TimedPolicy, TransitionId, TransitionKind};
+pub use net::{
+    NetBuilder, NetSpec, PetriNet, PlaceId, StructureKey, TimedPolicy, TransitionId, TransitionKind,
+};
 pub use sim::{
     simulate, simulate_observed, simulate_replications, PnReplicationSummary, Reward, SimConfig,
     SimOutput,

@@ -110,7 +110,7 @@ impl TransitionKind {
 }
 
 /// Arc sets of one transition (compact adjacency).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(crate) struct TransitionArcs {
     /// `(place, multiplicity)` consumed on firing; all must be marked.
     pub inputs: Vec<(u32, u32)>,
@@ -656,6 +656,44 @@ impl PetriNet {
             arcs,
         }
     }
+
+    /// The net's untimed structure, for memoizing analyses that never read
+    /// firing delays (semiflows, reachability, structural class, dead
+    /// transitions).
+    pub fn structure_key(&self) -> StructureKey {
+        StructureKey {
+            place_names: self.place_names.clone(),
+            initial: self.initial.clone(),
+            trans_names: self.trans_names.clone(),
+            immediates: self
+                .kinds
+                .iter()
+                .map(|k| match *k {
+                    TransitionKind::Immediate { priority, weight } => {
+                        Some((priority, weight.to_bits()))
+                    }
+                    TransitionKind::Timed { .. } => None,
+                })
+                .collect(),
+            arcs: self.arcs.clone(),
+        }
+    }
+}
+
+/// A net's untimed structure ([`PetriNet::structure_key`]): place and
+/// transition names, the initial marking, every input, output and inhibitor
+/// arc with its weight, and for each transition whether it is immediate
+/// (with its priority and weight) or timed. Timed transitions' delay
+/// distributions and clock policies are left out, so nets that differ only
+/// in rates share a key. Keys compare by full equality.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StructureKey {
+    place_names: Vec<String>,
+    initial: Vec<u32>,
+    trans_names: Vec<String>,
+    /// `Some((priority, weight bits))` for immediate transitions.
+    immediates: Vec<Option<(u8, u64)>>,
+    arcs: Vec<TransitionArcs>,
 }
 
 /// Arc direction/kind in a [`NetSpec`].

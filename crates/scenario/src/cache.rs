@@ -23,10 +23,11 @@
 //! never observe a torn entry.
 //!
 //! The cache format itself is versioned ([`CACHE_FORMAT`], folded into the
-//! digest): when the report schema changes shape, bumping the constant
-//! orphans all old entries instead of failing to deserialize them —
-//! stale files are simply never looked up again and can be deleted
-//! wholesale (`rm -rf .wsnem-cache`).
+//! digest): when the report schema changes shape, or a solver's numbers
+//! change (even in the last bits), bumping the constant orphans all old
+//! entries instead of failing to deserialize them or replaying stale
+//! numbers — stale files are simply never looked up again and can be
+//! deleted wholesale (`rm -rf .wsnem-cache`).
 
 use std::path::{Path, PathBuf};
 
@@ -41,9 +42,10 @@ use crate::schema::Scenario;
 pub const DIR_NAME: &str = ".wsnem-cache";
 
 /// Cache on-disk format version, folded into every key digest. Bump when
-/// the entry layout or [`ScenarioReport`] changes shape so old entries are
-/// orphaned instead of misread.
-pub const CACHE_FORMAT: u32 = 1;
+/// the entry layout or [`ScenarioReport`] changes shape, or when a backend's
+/// results change, so old entries are orphaned instead of misread or
+/// replayed. Version 2: the Erlang-phase backend's level-by-level solve.
+pub const CACHE_FORMAT: u32 = 2;
 
 /// How a run should use the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -175,16 +175,25 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so hostile input (a frame of 50k `[`) must become a typed
+/// error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
-/// Parse a JSON document into a [`Value`] tree.
+/// Parse a JSON document into a [`Value`] tree. Nesting deeper than
+/// [`MAX_DEPTH`] is an error.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -225,8 +234,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -234,6 +243,18 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, Error> {
@@ -468,5 +489,37 @@ mod tests {
         assert_eq!(s, "tab\there A");
         let round = to_string(&"line\nbreak\u{1}").unwrap();
         assert_eq!(from_str::<String>(&round).unwrap(), "line\nbreak\u{1}");
+    }
+
+    /// Run `f` on a 256 KiB stack, so a parser that recurses without bound
+    /// overflows here rather than only on hostile production input.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn nesting_ladder_is_capped_at_max_depth() {
+        on_small_stack(|| {
+            let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+            let objects = |n: usize| format!("{}1{}", r#"{"a":"#.repeat(n), "}".repeat(n));
+            for ladder in [arrays, objects] {
+                for n in [1, 127, 128] {
+                    let v = parse(&ladder(n)).unwrap();
+                    assert_eq!(parse(&to_string(&v).unwrap()).unwrap(), v);
+                }
+                for n in [129, 50_000] {
+                    let e = parse(&ladder(n)).unwrap_err();
+                    assert!(e.to_string().contains("nesting deeper than 128"), "{e}");
+                }
+            }
+            // Unterminated: the cap fires before the missing brackets do.
+            let e = parse(&"[".repeat(50_000)).unwrap_err();
+            assert!(e.to_string().contains("nesting"), "{e}");
+        });
     }
 }

@@ -72,11 +72,20 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&v).map_err(Error::from)
 }
 
-/// Parse a TOML document into a [`Value`] tree.
+/// Deepest nesting [`parse`] accepts. Each table along a key's path, each
+/// array and each inline table counts one level. The parser recurses once
+/// per array or inline-table level, and every consumer of the [`Value`]
+/// tree recurses once per level, so hostile input must become a typed error
+/// instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a TOML document into a [`Value`] tree. Nesting deeper than
+/// [`MAX_DEPTH`] is an error.
 pub fn parse(s: &str) -> Result<Value, Error> {
     Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     }
     .document()
 }
@@ -238,6 +247,8 @@ fn write_basic_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Tables, arrays and inline tables enclosing the value being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -251,6 +262,26 @@ impl<'a> Parser<'a> {
 
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    fn too_deep(&self) -> Error {
+        self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Parse with `levels` more enclosing containers, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        levels: usize,
+        inner: fn(&mut Self) -> Result<Value, Error>,
+    ) -> Result<Value, Error> {
+        if self.depth + levels > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += levels;
+        let v = inner(self);
+        self.depth -= levels;
+        v
     }
 
     /// Skip spaces/tabs and comments on the current line.
@@ -323,6 +354,9 @@ impl<'a> Parser<'a> {
                         }
                         self.pos += 1;
                     }
+                    if path.len() > MAX_DEPTH {
+                        return Err(self.too_deep());
+                    }
                     self.expect_eol()?;
                     if array_of_tables {
                         push_table_array_element(&mut root, &path).map_err(|m| self.err(&m))?;
@@ -339,7 +373,8 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                     self.skip_inline_ws();
-                    let value = self.value()?;
+                    let tables = current.len() + key_path.len() - 1;
+                    let value = self.nested(tables, Self::value)?;
                     self.expect_eol()?;
                     let mut full: Vec<String> = current.clone();
                     full.extend(key_path);
@@ -389,8 +424,8 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.basic_string()?)),
             Some(b'\'') => Ok(Value::Str(self.literal_string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.inline_table(),
+            Some(b'[') => self.nested(1, Self::array),
+            Some(b'{') => self.nested(1, Self::inline_table),
             Some(b't') | Some(b'f') => self.boolean(),
             Some(c) if c == b'+' || c == b'-' || c.is_ascii_digit() || c == b'i' || c == b'n' => {
                 self.number()
@@ -576,7 +611,7 @@ impl<'a> Parser<'a> {
             }
             self.pos += 1;
             self.skip_inline_ws();
-            let v = self.value()?;
+            let v = self.nested(path.len() - 1, Self::value)?;
             insert_value(&mut entries, &path, v).map_err(|m| self.err(&m))?;
             self.skip_inline_ws();
             match self.peek() {
@@ -841,5 +876,43 @@ w = 1
         let mut doc = String::new();
         write_table(&mut doc, &[], entries);
         assert_eq!(parse(&doc).unwrap(), v, "document was:\n{doc}");
+    }
+
+    /// Run `f` on a 256 KiB stack, so a parser that recurses without bound
+    /// overflows here rather than only on hostile production input.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn nesting_ladder_is_capped_at_max_depth() {
+        on_small_stack(|| {
+            let arrays = |n: usize| format!("x = {}{}", "[".repeat(n), "]".repeat(n));
+            let tables = |n: usize| format!("x = {}1{}", "{a = ".repeat(n), "}".repeat(n));
+            // `n` dotted segments open n − 1 tables around the value.
+            let dotted = |n: usize| format!("{} = 1", vec!["a"; n + 1].join("."));
+            let headers = |n: usize| format!("[{}]\nx = 1", vec!["a"; n].join("."));
+            for ladder in [arrays, tables, dotted, headers] {
+                for n in [1, 127, 128] {
+                    assert!(parse(&ladder(n)).is_ok(), "depth {n}: {}", ladder(n));
+                }
+                for n in [129, 50_000] {
+                    let e = parse(&ladder(n)).unwrap_err();
+                    assert!(e.to_string().contains("nesting deeper than 128"), "{e}");
+                }
+            }
+            // Depth adds up across a header, dotted keys and containers.
+            let mixed = |n: usize| format!("[a.b]\nc.d = {}{}", "[".repeat(n), "]".repeat(n));
+            assert!(parse(&mixed(125)).is_ok());
+            assert!(parse(&mixed(126)).is_err());
+            // Unterminated: the cap fires before the missing brackets do.
+            let e = parse(&format!("x = {}", "[".repeat(50_000))).unwrap_err();
+            assert!(e.to_string().contains("nesting"), "{e}");
+        });
     }
 }
